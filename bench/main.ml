@@ -672,81 +672,88 @@ let l1 ~quick ~json_file () =
   | None -> ());
   pass
 
-(* --- V1: the bytecode VM tier --------------------------------------------- *)
+(* --- V1: reduce fusion --------------------------------------------------- *)
 
-(* Steady-state cost of a compiled query on the three engines: the
-   unlowered walker (ast), the lowered walker (ir — the VM's comparison
-   point) and the bytecode VM.  Compiled once, re-driven, symbolics off:
-   the watchpoint pattern, same methodology as L1.  The [#/] reduce loop
-   is the hard gate — fully fused, its accumulator never leaves the VM's
-   integer registers, so the VM must beat the lowered walker by >= 2x.
-   The lookup- and chase-bound arms are parity gates (>= 0.9x): their
-   cost is name resolution and target reads, which the superinstructions
-   call straight into, so the VM must at least not regress them. *)
+(* Steady-state cost of a reduction over a pure-bound range, fused by
+   [Lower] into one [Ir.Reduce_range] node, against the unfused
+   [Ir.Reduce (r, Ir.To ...)] tree built here from the same bounds — the
+   tree lowering produced before fusion.  Compiled once, re-driven,
+   symbolics off: the watchpoint pattern, same methodology as L1.  The
+   fused fold never produces the range's values, so it must beat the
+   unfused walker by >= 2x on both engines.  Each arm repeats until it
+   has run [v1_min_s] of wall time and reports the time per run, so the
+   O(1) [#/] arm reads as a real figure rather than the clock's
+   resolution. *)
 
 let v1_reduce_gate = 2.0
-let v1_parity_gate = 0.9
 
 type v1_row = {
   v_name : string;
+  v_engine : string;
   v_query : string;
-  v_size : int;
-  v_ast_s : float;
-  v_ir_s : float;
-  v_vm_s : float;
-  v_gate : float;  (* required vm-over-ir speedup *)
-  v_super : int;  (* superinstruction dispatches during the VM timing *)
-  v_fused : int;  (* elements folded inside fused reduce loops *)
+  v_unfused_s : float;
+  v_fused_s : float;
 }
 
-let v1_workload ~name ~query ~size ~gate ~make_inf =
-  let time engine lower =
-    let s = session_of (make_inf ()) in
-    s.Session.engine <- engine;
-    s.Session.env.Env.flags.Env.symbolic <- false;
-    s.Session.lower <- lower;
-    let ir = Session.compile s (Session.parse s query) in
+(* Time per run of [fn], doubling the batch until one batch has run for
+   at least [min_s] seconds. *)
+let per_run ~min_s fn =
+  let rec go n =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to n do
+      fn ()
+    done;
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt >= min_s then dt /. float_of_int n else go (2 * n)
+  in
+  go 1
+
+let v1_workload ~min_s ~name ~query (engine_name, engine) =
+  let s = session_of (Scenarios.all ()) in
+  s.Session.engine <- engine;
+  s.Session.env.Env.flags.Env.symbolic <- false;
+  let fused = Session.compile s (Session.parse s query) in
+  let unfused =
+    match fused with
+    | Duel_core.Ir.Reduce_range (r, Some lo, hi, sym) ->
+        Duel_core.Ir.Reduce (r, Duel_core.Ir.To (lo, hi), sym)
+    | _ -> failwith ("V1: lowering did not fuse " ^ query)
+  in
+  (* best of three batches, after one warm-up run *)
+  let time ir =
     let run () = ignore (Session.drive_ir s ir) in
     run ();
-    (best_of 5 run, s.Session.vstats)
+    List.fold_left Float.min Float.infinity
+      (List.init 3 (fun _ -> per_run ~min_s run))
   in
-  let v_ast_s, _ = time Session.Seq_engine false in
-  let v_ir_s, _ = time Session.Seq_engine true in
-  let v_vm_s, vs = time Session.Vm_engine true in
   {
     v_name = name;
+    v_engine = engine_name;
     v_query = query;
-    v_size = size;
-    v_ast_s;
-    v_ir_s;
-    v_vm_s;
-    v_gate = gate;
-    v_super = vs.Duel_core.Vm.v_super;
-    v_fused = vs.Duel_core.Vm.v_fused;
+    v_unfused_s = time unfused;
+    v_fused_s = time fused;
   }
 
-let v1_pass r = r.v_ir_s >= r.v_gate *. r.v_vm_s
+let v1_speedup r = r.v_unfused_s // r.v_fused_s
+let v1_pass r = v1_speedup r >= v1_reduce_gate
 
 let v1_json ~quick rows =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"bench\": \"bytecode_vm_engine\",\n";
+  Buffer.add_string b "  \"bench\": \"reduce_fusion\",\n";
   Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n" quick);
   Buffer.add_string b
-    (Printf.sprintf "  \"reduce_gate\": %.1f, \"parity_gate\": %.1f,\n"
-       v1_reduce_gate v1_parity_gate);
+    (Printf.sprintf "  \"reduce_gate\": %.1f,\n" v1_reduce_gate);
   Buffer.add_string b "  \"workloads\": [\n";
   List.iteri
     (fun i r ->
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"name\": %S, \"query\": %S, \"size\": %d,\n\
-           \     \"ast_s\": %.6f, \"ir_s\": %.6f, \"vm_s\": %.6f,\n\
-           \     \"vm_over_ir\": %.2f, \"gate\": %.1f, \"superinsns\": %d, \
-            \"fused\": %d, \"pass\": %b}%s\n"
-           r.v_name r.v_query r.v_size r.v_ast_s r.v_ir_s r.v_vm_s
-           (r.v_ir_s // Float.max r.v_vm_s 1e-9)
-           r.v_gate r.v_super r.v_fused (v1_pass r)
+           "    {\"name\": %S, \"engine\": %S, \"query\": %S,\n\
+           \     \"unfused_s\": %.9f, \"fused_s\": %.9f, \"speedup\": \
+            %.2f, \"pass\": %b}%s\n"
+           r.v_name r.v_engine r.v_query r.v_unfused_s r.v_fused_s
+           (v1_speedup r) (v1_pass r)
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string b "  ],\n";
@@ -756,68 +763,35 @@ let v1_json ~quick rows =
 
 let v1 ~quick ~json_file () =
   header
-    "V1  bytecode VM: compiled programs re-driven vs both walker engines \
-     (reduce loop gated at >= 2x over lowered IR; lookup and chase arms \
-     gated at >= 0.9x)";
-  let n_reduce = if quick then 200_000 else 1_000_000 in
-  let n_lookup = if quick then 2000 else 5000 in
-  let n_chase = if quick then 2000 else 10_000 in
-  let deep_stack () =
-    let inf = Scenarios.all () in
-    for _ = 1 to 40 do
-      Duel_target.Inferior.push_frame inf "fib"
-        [ ("n", Duel_ctype.Ctype.int); ("acc", Duel_ctype.Ctype.int) ]
-    done;
-    inf
+    "V1  reduce fusion: +/ and #/ over a pure-bound range, fused by Lower \
+     vs the unfused Reduce-over-To tree (time per run; gated at >= 2x)";
+  let n = if quick then 200_000 else 1_000_000 in
+  let min_s = if quick then 0.05 else 0.2 in
+  let engines = [ ("seq", Session.Seq_engine); ("sm", Session.Sm_engine) ] in
+  let arm name query =
+    List.map (v1_workload ~min_s ~name ~query) engines
   in
-  let r_reduce =
-    v1_workload ~name:"reduce_sum" ~gate:v1_reduce_gate
-      ~query:(Printf.sprintf "+/(1..%d)" n_reduce)
-      ~size:n_reduce
-      ~make_inf:(fun () -> Scenarios.all ())
+  let rows =
+    arm "reduce_sum" (Printf.sprintf "+/(1..%d)" n)
+    @ arm "reduce_count" (Printf.sprintf "#/(1..%d)" n)
   in
-  (* counting a pure range needs no loop at all: the fused form computes
-     hi-lo+1 algebraically, so this row's VM time is ~0 by design *)
-  let r_count =
-    v1_workload ~name:"reduce_count" ~gate:v1_reduce_gate
-      ~query:(Printf.sprintf "#/(1..%d)" n_reduce)
-      ~size:n_reduce
-      ~make_inf:(fun () -> Scenarios.all ())
-  in
-  let r_lookup =
-    v1_workload ~name:"lookup_bound" ~gate:v1_parity_gate
-      ~query:(Printf.sprintf "(1..%d) + i0" n_lookup)
-      ~size:n_lookup ~make_inf:deep_stack
-  in
-  let r_chase =
-    v1_workload ~name:"pointer_chase" ~gate:v1_parity_gate
-      ~query:"#/(deep-->next->value)" ~size:n_chase
-      ~make_inf:(fun () -> Scenarios.deep_list n_chase)
-  in
-  let rows = [ r_reduce; r_count; r_lookup; r_chase ] in
-  Printf.printf "  %-14s %12s %12s %12s %9s %10s %10s\n" "workload" "ast"
-    "lowered ir" "vm" "vm/ir" "superinsn" "fused";
+  Printf.printf "  %-14s %-6s %12s %12s %9s\n" "workload" "engine" "unfused"
+    "fused" "speedup";
   List.iter
     (fun r ->
-      Printf.printf "  %-14s %s %s %s %8.2fx %10d %10d  [gate >= %.1fx]\n"
-        r.v_name
-        (ns (r.v_ast_s *. 1e9))
-        (ns (r.v_ir_s *. 1e9))
-        (ns (r.v_vm_s *. 1e9))
-        (r.v_ir_s // Float.max r.v_vm_s 1e-9)
-        r.v_super r.v_fused r.v_gate)
+      Printf.printf "  %-14s %-6s %s %s %8.2fx  [gate >= %.1fx]\n" r.v_name
+        r.v_engine
+        (ns (r.v_unfused_s *. 1e9))
+        (ns (r.v_fused_s *. 1e9))
+        (v1_speedup r) v1_reduce_gate)
     rows;
   let pass = List.for_all v1_pass rows in
+  let sum_seq = List.hd rows in
   verdict pass
     (Printf.sprintf
-       "the VM runs the fused +/ reduce loop %.1fx faster than the lowered \
-        walker (gate %.1fx; #/ collapses to O(1)) and holds %.2fx / %.2fx \
-        on the lookup- and chase-bound arms (gates %.1fx)"
-       (r_reduce.v_ir_s // Float.max r_reduce.v_vm_s 1e-9)
-       v1_reduce_gate
-       (r_lookup.v_ir_s // r_lookup.v_vm_s)
-       (r_chase.v_ir_s // r_chase.v_vm_s)
-       v1_parity_gate);
+       "the fused +/ fold runs %.1fx faster than the unfused walker on seq \
+        (gate %.1fx); #/ collapses to O(1)"
+       (v1_speedup sum_seq) v1_reduce_gate);
   (match json_file with
   | Some file ->
       let oc = open_out file in
@@ -1606,7 +1580,7 @@ let () =
   in
   let json_file = find_flag "--json" argv in
   let json_lower = find_flag "--json-lower" argv in
-  let json_vm = find_flag "--json-vm" argv in
+  let json_fusion = find_flag "--json-fusion" argv in
   let json_serve = find_flag "--json-serve" argv in
   let json_shard = find_flag "--json-shard" argv in
   let json_chaos = find_flag "--json-chaos" argv in
@@ -1617,11 +1591,11 @@ let () =
       (* CI smoke mode: the gated tiers only, small sizes. *)
       Printf.printf
         "DUEL benchmarks, quick mode (D1 data-cache, L1 lowering, V1 \
-         bytecode VM, S1 serving, S2 shard scaling, R1 fleet fan-out, X1 \
+         reduce fusion, S1 serving, S2 shard scaling, R1 fleet fan-out, X1 \
          chaos and F1/F2 dispatcher tiers)\n";
       let d1_ok = d1 ~quick ~json_file () in
       let l1_ok = l1 ~quick ~json_file:json_lower () in
-      let v1_ok = v1 ~quick ~json_file:json_vm () in
+      let v1_ok = v1 ~quick ~json_file:json_fusion () in
       let s1_ok = s1 ~quick ~json_file:json_serve () in
       let s2_ok = s2 ~quick ~json_file:json_shard () in
       let r1_ok = r1 ~quick ~json_file:json_fleet () in
@@ -1641,7 +1615,7 @@ let () =
       b7 ();
       let d1_ok = d1 ~quick:false ~json_file () in
       let l1_ok = l1 ~quick:false ~json_file:json_lower () in
-      let v1_ok = v1 ~quick:false ~json_file:json_vm () in
+      let v1_ok = v1 ~quick:false ~json_file:json_fusion () in
       let s1_ok = s1 ~quick:false ~json_file:json_serve () in
       let s2_ok = s2 ~quick:false ~json_file:json_shard () in
       let r1_ok = r1 ~quick:false ~json_file:json_fleet () in

@@ -34,9 +34,9 @@ let help_text =
   duel <expr>            evaluate a DUEL expression (the `duel` prefix is optional)
   set symbolic on|off    compute symbolic values (default on)
   set cycles on|off      cycle detection for --> (default off)
-  set engine vm|ir|ast   evaluation engine: bytecode VM, lowered-IR walker
-                         (default; alias seq, plus sm for the state machine),
-                         or the unlowered ablation
+  set engine ir|sm|ast   evaluation engine: lowered-IR walker (default;
+                         alias seq), the paper's state machine, or the
+                         unlowered ablation
   set lower on|off       lower names to cached resolution slots (default on)
   set prefetch on|off    speculative read-ahead into the data cache (default on)
   set compress <n>       -->a[[n]] compression threshold (default 4)
@@ -46,7 +46,6 @@ let help_text =
   info cache             target-memory data cache counters (see --no-cache)
   info prefetch          speculative-prefetch counters (see --no-prefetch)
   info lower             name-resolution cache counters (hits/misses/stale)
-  info vm                bytecode-VM counters (dispatch/superinsns/frames)
   info chaos             fault-injection and retry counters (see --chaos)
   help                   this text
   quit                   exit
@@ -177,6 +176,23 @@ let handle_program_command dbg line =
       true
   | _ -> false
 
+(* Engine names for --engine and [set engine]: ir (lowered walker; seq
+   is the legacy alias, which leaves the lowering flag alone), sm (state
+   machine), ast (the unlowered ablation: same walker, every slot pinned
+   dynamic).  The second component overrides [Session.lower]. *)
+let engine_names = "ir, seq, sm or ast"
+
+let engine_of_string = function
+  | "ir" -> Some (Session.Seq_engine, Some true)
+  | "seq" -> Some (Session.Seq_engine, None)
+  | "sm" -> Some (Session.Sm_engine, None)
+  | "ast" -> Some (Session.Seq_engine, Some false)
+  | _ -> None
+
+let set_engine session (engine, lower) =
+  session.Session.engine <- engine;
+  Option.iter (fun b -> session.Session.lower <- b) lower
+
 let handle_command session inf scenario program built line =
   let flags = session.Session.env.Env.flags in
   match String.split_on_char ' ' (String.trim line) with
@@ -193,7 +209,6 @@ let handle_command session inf scenario program built line =
       List.iter print_endline (Session.prefetch_stats session)
   | [ "info"; "lower" ] ->
       List.iter print_endline (Session.lower_stats session)
-  | [ "info"; "vm" ] -> List.iter print_endline (Session.vm_stats session)
   | [ "info"; "chaos" ] -> (
       match built with
       | Some b when b.Backend.b_rigs <> [] ->
@@ -207,17 +222,11 @@ let handle_command session inf scenario program built line =
             "chaos: off (enable with --chaos or a +chaos(...) spec)")
   | [ "set"; "symbolic"; v ] -> on_off flags (fun f b -> f.Env.symbolic <- b) v
   | [ "set"; "cycles"; v ] -> on_off flags (fun f b -> f.Env.cycle_detect <- b) v
-  | [ "set"; "engine"; "seq" ] -> session.Session.engine <- Session.Seq_engine
-  | [ "set"; "engine"; "sm" ] -> session.Session.engine <- Session.Sm_engine
-  | [ "set"; "engine"; "vm" ] -> session.Session.engine <- Session.Vm_engine
-  | [ "set"; "engine"; "ir" ] ->
-      (* lowered IR on the reference walker — the VM's comparison point *)
-      session.Session.engine <- Session.Seq_engine;
-      session.Session.lower <- true
-  | [ "set"; "engine"; "ast" ] ->
-      (* the unlowered ablation: same walker, every slot pinned dynamic *)
-      session.Session.engine <- Session.Seq_engine;
-      session.Session.lower <- false
+  | [ "set"; "engine"; name ] -> (
+      match engine_of_string name with
+      | Some choice -> set_engine session choice
+      | None ->
+          Printf.printf "unknown engine %s; expected %s\n" name engine_names)
   | [ "set"; "lower"; "on" ] -> session.Session.lower <- true
   | [ "set"; "lower"; "off" ] -> session.Session.lower <- false
   | [ "set"; "prefetch"; (("on" | "off") as v) ] ->
@@ -312,19 +321,17 @@ let build_target ?make_inf spec_str =
       Printf.eprintf "oduel: bad target %s: %s\n" spec_str msg;
       exit 2
 
-(* --engine names: vm (bytecode), ir (lowered walker; seq is the legacy
-   alias), sm (state machine), ast (unlowered walker — the ablation,
-   which also pins lowering off). *)
-let engine_of_string s =
-  match s with
-  | "sm" -> (Session.Sm_engine, None)
-  | "vm" -> (Session.Vm_engine, None)
-  | "ast" -> (Session.Seq_engine, Some false)
-  | _ -> (Session.Seq_engine, None)
+let engine_of_arg name =
+  match engine_of_string name with
+  | Some choice -> choice
+  | None ->
+      Printf.eprintf "oduel: unknown engine %s (expected %s)\n" name
+        engine_names;
+      exit 2
 
 let run target scenario engine use_rsp no_cache no_prefetch chaos program_file
     exprs =
-  let engine, lower_override = engine_of_string engine in
+  let engine = engine_of_arg engine in
   let program_src =
     Option.map
       (fun path ->
@@ -358,21 +365,17 @@ let run target scenario engine use_rsp no_cache no_prefetch chaos program_file
             ^ if no_cache || no_prefetch then "" else "+prefetch"
           in
           let built = build_target ~make_inf:(fun _ -> inf) spec in
-          (inf, Some dbg, Session.create ~engine built.Backend.b_dbg, Some built)
+          (inf, Some dbg, Session.create built.Backend.b_dbg, Some built)
         end
-        else begin
-          let s = Debugger.session dbg in
-          s.Session.engine <- engine;
-          (inf, Some dbg, s, None)
-        end
+        else (inf, Some dbg, Debugger.session dbg, None)
     | None ->
         let built = build_target spec_str in
         ( built.Backend.b_inf,
           None,
-          Session.create ~engine built.Backend.b_dbg,
+          Session.create built.Backend.b_dbg,
           Some built )
   in
-  Option.iter (fun b -> session.Session.lower <- b) lower_override;
+  set_engine session engine;
   let scenario_display = if program = None then spec_str else scenario in
   (match exprs with
   | [] -> repl session inf scenario_display program built
@@ -567,9 +570,8 @@ let connect addr scenario engine no_cache no_prefetch exprs =
       ~prefetch:(not (no_cache || no_prefetch))
       cl di
   in
-  let engine, lower_override = engine_of_string engine in
-  let session = Session.create ~engine dbgi in
-  Option.iter (fun b -> session.Session.lower <- b) lower_override;
+  let session = Session.create dbgi in
+  set_engine session (engine_of_arg engine);
   let eval_line line =
     try connect_command session cl line
     with e -> Printf.printf "error: %s\n" (Printexc.to_string e)
@@ -657,7 +659,7 @@ let scenario_arg =
 let engine_arg =
   Arg.(
     value & opt string "seq"
-    & info [ "engine" ] ~doc:"Evaluation engine: vm, ir (alias seq), sm or ast.")
+    & info [ "engine" ] ~doc:"Evaluation engine: ir (alias seq), sm or ast.")
 
 let rsp_arg =
   Arg.(

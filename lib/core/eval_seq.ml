@@ -217,6 +217,8 @@ let rec eval env (e : Ir.expr) : Value.t Seq.t =
             (eval env a))
   | Ir.Reduce (r, a, psym) ->
       delay (fun () -> Seq.return (eval_reduce env r a psym))
+  | Ir.Reduce_range (r, lo, hi, psym) ->
+      delay (fun () -> Seq.return (Semantics.reduce_range env r lo hi psym))
   | Ir.Seq_eq (a, b) -> delay (fun () -> Seq.return (eval_seq_eq env a b))
   | Ir.If (c, t, f) ->
       Seq.concat_map

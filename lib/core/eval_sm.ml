@@ -31,7 +31,7 @@ let dummy_value = Value.int_value Ctype.int 0L
 let subexprs (e : Ir.expr) : Ir.expr list =
   match e with
   | Ir.Lit _ | Ir.Name _ | Ir.Underscore | Ir.Frames_gen | Ir.Decl _
-  | Ir.Sizeof_type _ ->
+  | Ir.Sizeof_type _ | Ir.Reduce_range _ ->
       []
   | Ir.Unary (_, a)
   | Ir.Incdec (_, a)
@@ -201,6 +201,15 @@ let rec next env n : Value.t option =
       None
   | Ir.Index_alias (_, name) -> index_alias env n name
   | Ir.Reduce (r, _, psym) -> reduce env n r psym
+  | Ir.Reduce_range (r, lo, hi, psym) ->
+      if n.state = 0 then begin
+        n.state <- 1;
+        Some (Semantics.reduce_range env r lo hi psym)
+      end
+      else begin
+        n.state <- 0;
+        None
+      end
   | Ir.Seq_eq _ -> seq_eq env n
   | Ir.Dfs _ -> expand env n ~depth_first:true
   | Ir.Bfs _ -> expand env n ~depth_first:false

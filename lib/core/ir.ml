@@ -90,6 +90,11 @@ and expr =
   | Index_alias of expr * string
   | Reduce of Ast.reduction * expr * Symbolic.t
       (** carries the precomputed "as entered" symbolic *)
+  | Reduce_range of Ast.reduction * expr option * expr * Symbolic.t
+      (** a [Reduce] over a range whose bounds are {!pure_single}, fused
+          by {!Lower}: [Some lo, hi] is [lo..hi], [None, n] is [..n].
+          Evaluated by {!Semantics.reduce_range} without producing the
+          range's values. *)
   | Seq_eq of expr * expr
   | Braces of expr
   | Group of expr
@@ -113,7 +118,7 @@ let rec pure_single = function
 
 (** Structural copy with fresh name records.  Slots are per-environment
     state (stamps are only meaningful against the [Env] that wrote
-    them), so a compiled program cached server-side and shared across
+    them), so a lowered plan cached server-side and shared across
     sessions hands out clones: same literals, symbolics and strings,
     fresh empty slots.  [Sdynamic] pins survive — they are a mode, not
     cached state. *)
@@ -161,6 +166,8 @@ and clone e =
   | Until (a, b) -> Until (clone a, clone b)
   | Index_alias (a, n) -> Index_alias (clone a, n)
   | Reduce (r, a, sym) -> Reduce (r, clone a, sym)
+  | Reduce_range (r, lo, hi, sym) ->
+      Reduce_range (r, Option.map clone lo, clone hi, sym)
   | Seq_eq (a, b) -> Seq_eq (clone a, clone b)
   | Braces a -> Braces (clone a)
   | Group a -> Group (clone a)
@@ -173,9 +180,8 @@ and clone e =
   | Sizeof_type (te, sym) -> Sizeof_type (clone_type te, sym)
   | Frame a -> Frame (clone a)
 
-(** Commands ending in [;] are evaluated for effect only — mirrors
-    {!Session}'s AST-level test on the lowered tree so a compiled
-    program remembers its display mode. *)
+(** Commands ending in [;] are evaluated for effect only: their values
+    are not displayed. *)
 let rec silent = function
   | Seq_void _ -> true
   | Seq (_, b) -> silent b

@@ -74,6 +74,18 @@ let finalize_type env (te : Ir.type_expr) =
     | exception Error.Duel_error _ -> te
   else te
 
+(* Reduce fusion: a reduction over [lo..hi] or [..n] whose bounds are
+   pure singletons needs no generator for the range — the fold runs
+   straight over the bounds ({!Semantics.reduce_range}).  Anything else
+   (a generator bound, an open range) keeps the plain [Reduce]. *)
+let rec fusable_range (e : Ir.expr) =
+  match e with
+  | Ir.Group a -> fusable_range a
+  | Ir.To (lo, hi) when Ir.pure_single lo && Ir.pure_single hi ->
+      Some (Some lo, hi)
+  | Ir.Up_to n when Ir.pure_single n -> Some (None, n)
+  | _ -> None
+
 let rec lower_expr env mode (e : Ast.expr) : Ir.expr =
   let go e = lower_expr env mode e in
   match e with
@@ -130,8 +142,12 @@ let rec lower_expr env mode (e : Ast.expr) : Ir.expr =
   | Ast.Select (a, b) -> Ir.Select (go a, go b)
   | Ast.Until (a, stop) -> Ir.Until (go a, go stop)
   | Ast.Index_alias (a, name) -> Ir.Index_alias (go a, name)
-  | Ast.Reduce (r, a) ->
-      Ir.Reduce (r, go a, Symbolic.atom (Pretty.to_string e))
+  | Ast.Reduce (r, a) -> (
+      let sym = Symbolic.atom (Pretty.to_string e) in
+      let a' = go a in
+      match fusable_range a' with
+      | Some (lo, hi) -> Ir.Reduce_range (r, lo, hi, sym)
+      | None -> Ir.Reduce (r, a', sym))
   | Ast.Seq_eq (a, b) -> Ir.Seq_eq (go a, go b)
   | Ast.Braces a -> Ir.Braces (go a)
   | Ast.Group a -> Ir.Group (go a)

@@ -5,7 +5,9 @@
     literal arithmetic constant-folded (with lazy-error fallback:
     anything that would raise folds back to the unfolded node, so errors
     surface at evaluation time exactly as before), cast/sizeof/reduction
-    renderings precomputed, and constant-dimension types pre-resolved.
+    renderings precomputed, constant-dimension types pre-resolved, and
+    a reduction over a range with {!Ir.pure_single} bounds fused into one
+    {!Ir.Reduce_range} node that folds without producing the range.
 
     [Dynamic] mode is the ablation: the identical tree with every name
     slot pinned to the full lookup chain ([set lower off]) — one

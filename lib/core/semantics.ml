@@ -385,3 +385,42 @@ let sum_step env acc v =
 let sum_result _env ~sym = function
   | Either.Left i -> Value.int_value ~sym Ctype.long i
   | Either.Right f -> Value.float_value ~sym Ctype.double f
+
+(* A reduction fused over [lo..hi] (or [..n]) with pure-singleton bounds:
+   the bounds are read in source order, then folded without producing the
+   range's values.  The accumulator never leaves an int64, and the
+   result is numerically identical to folding the produced range: range
+   elements are int rvalues, so [sum_step] would stay on the integer side
+   and wrap the same way. *)
+let reduce_range env r lo hi psym =
+  let bound e = Value.to_int64 env.Env.dbg (single env e) in
+  let lo, hi =
+    match lo with
+    | Some lo ->
+        let lo = bound lo in
+        (lo, bound hi)
+    | None -> (0L, Int64.pred (bound hi))
+  in
+  let sym = if sym_on env then psym else no_sym in
+  let truth ok = Value.int_value ~sym Ctype.int (if ok then 1L else 0L) in
+  match r with
+  | Ast.Rcount ->
+      let n =
+        if Int64.compare hi lo >= 0 then Int64.succ (Int64.sub hi lo) else 0L
+      in
+      Value.int_value ~sym Ctype.int n
+  | Ast.Rsum ->
+      let s = ref 0L and i = ref lo in
+      while Int64.compare !i hi <= 0 do
+        s := Int64.add !s !i;
+        i := Int64.succ !i
+      done;
+      sum_result env ~sym (Either.Left !s)
+  | Ast.Rall ->
+      (* false iff the range contains 0 *)
+      truth (not (Int64.compare lo 0L <= 0 && Int64.compare 0L hi <= 0))
+  | Ast.Rany ->
+      (* true iff nonempty and not exactly [0..0] *)
+      truth
+        (Int64.compare lo hi <= 0
+        && not (Int64.equal lo 0L && Int64.equal hi 0L))

@@ -63,3 +63,12 @@ val sum_step : Env.t -> (int64, float) Either.t -> Value.t -> (int64, float) Eit
     floating value). *)
 
 val sum_result : Env.t -> sym:Symbolic.t -> (int64, float) Either.t -> Value.t
+
+val reduce_range :
+  Env.t -> Ast.reduction -> Ir.expr option -> Ir.expr -> Symbolic.t -> Value.t
+(** [reduce_range env r lo hi psym] evaluates {!Ir.Reduce_range}: reads
+    the {!Ir.pure_single} bounds ([Some lo]: [lo..hi]; [None]: [..hi])
+    and folds [r] over the range without producing its values — [#/] in
+    closed form, [+/] in an int64 loop, [&&/] and [||/] by testing
+    whether the range holds 0.  Same value, symbolic and errors as
+    {!Ir.Reduce} over the unfused range. *)

@@ -1,15 +1,13 @@
 module Tenv = Duel_ctype.Tenv
 module Dbgi = Duel_dbgi.Dbgi
 
-type engine = Seq_engine | Sm_engine | Vm_engine
+type engine = Seq_engine | Sm_engine
 
 type t = {
   env : Env.t;
   mutable engine : engine;
   mutable max_values : int;
   mutable lower : bool;
-  vstats : Vm.stats;
-  mutable vm_plan : (Ir.expr * Bytecode.program) option;
 }
 
 (* The resolution cache snoops the same write-generation counter as the
@@ -17,14 +15,7 @@ type t = {
    invalidates cached global slots exactly when it drops cached lines. *)
 let create ?(engine = Seq_engine) dbg =
   let probe = Duel_dbgi.Dcache.coherence_probe dbg in
-  {
-    env = Env.create ?probe dbg;
-    engine;
-    max_values = 0;
-    lower = true;
-    vstats = Vm.fresh_stats ();
-    vm_plan = None;
-  }
+  { env = Env.create ?probe dbg; engine; max_values = 0; lower = true }
 
 let parse session src =
   let tenv = session.env.Env.dbg.Dbgi.tenv in
@@ -35,23 +26,10 @@ let compile session ast =
   let mode = if session.lower then Lower.Cached else Lower.Dynamic in
   Lower.lower ~mode session.env ast
 
-(* The VM engine compiles the IR once and re-uses the program on
-   re-drives of the same tree (the memo is keyed by physical identity —
-   exactly the benchmark/watchpoint pattern). *)
-let vm_program session ir =
-  match session.vm_plan with
-  | Some (ir0, prog) when ir0 == ir -> prog
-  | _ ->
-      let prog = Compile.compile ir in
-      session.vm_plan <- Some (ir, prog);
-      prog
-
 let eval_ir session ir =
   match session.engine with
   | Seq_engine -> Eval_seq.eval session.env ir
   | Sm_engine -> Eval_sm.eval session.env ir
-  | Vm_engine ->
-      Vm.eval ~stats:session.vstats session.env (vm_program session ir)
 
 let eval session ast = eval_ir session (compile session ast)
 
@@ -75,13 +53,6 @@ let format_value session v =
   (* A Duel_error raised while rendering (e.g. fetching an unreadable
      scalar lvalue) propagates: the command reports the error itself. *)
   sym ^ " = " ^ Printer.value_to_string session.env v
-
-(* Values of a command ending in ';' are evaluated for side effects only
-   and not displayed. *)
-let rec silent = function
-  | Ast.Seq_void _ -> true
-  | Ast.Seq (_, b) -> silent b
-  | _ -> false
 
 (* The shared command wrapper: evaluate a lazily-produced sequence,
    format (or count) its values, map every failure to the session's
@@ -146,18 +117,17 @@ let exec_with session (produce : unit -> bool * Value.t Seq.t) =
            addr len));
   List.rev !lines
 
+(* Values of a command ending in ';' are evaluated for side effects only
+   and not displayed ({!Ir.silent}). *)
 let exec session src =
   exec_with session (fun () ->
-      let ast = parse session src in
-      (silent ast, eval session ast))
+      let ir = compile session (parse session src) in
+      (Ir.silent ir, eval_ir session ir))
 
-(* Run an already-compiled program (the serve layer's plan cache): same
-   output contract as [exec] on the program's source text.  Always the
-   VM — a cached plan *is* VM bytecode. *)
-let exec_program session prog =
-  exec_with session (fun () ->
-      ( prog.Bytecode.quiet,
-        Vm.eval ~stats:session.vstats session.env prog ))
+(* Run already-lowered IR (the serve layer's plan cache) on the
+   session's engine: same output contract as [exec] on its source text. *)
+let exec_ir session ir =
+  exec_with session (fun () -> (Ir.silent ir, eval_ir session ir))
 
 let exec_string session src = String.concat "\n" (exec session src)
 
@@ -195,19 +165,4 @@ let lower_stats session =
     Printf.sprintf "lowering: %s" (if session.lower then "on" else "off");
     Printf.sprintf "slot lookups: %d hits, %d misses (%d stale), %d dynamic"
       ls.Env.l_hits ls.Env.l_misses ls.Env.l_stale ls.Env.l_dynamic;
-  ]
-
-let vm_stats session =
-  let vs = session.vstats in
-  [
-    Printf.sprintf "vm engine: %s"
-      (match session.engine with
-      | Vm_engine -> "on (bytecode)"
-      | Seq_engine -> "off (seq engine)"
-      | Sm_engine -> "off (sm engine)");
-    Printf.sprintf "dispatch: %d instructions, %d superinstructions"
-      vs.Vm.v_dispatch vs.Vm.v_super;
-    Printf.sprintf "frames: %d allocated, %d fallback generators, %d fused \
-                    reduce elements"
-      vs.Vm.v_frames vs.Vm.v_fallback vs.Vm.v_fused;
   ]

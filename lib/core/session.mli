@@ -11,7 +11,6 @@
 type engine =
   | Seq_engine  (** the reference recursive-[Seq.t] evaluator *)
   | Sm_engine  (** the explicit state-machine evaluator *)
-  | Vm_engine  (** the bytecode VM ({!Compile} + {!Vm}) *)
 
 type t = {
   env : Env.t;
@@ -21,11 +20,6 @@ type t = {
       (** [true] (default): lower with resolution slots; [false]: the
           ablation — identical IR with every slot pinned dynamic
           ([set lower off]) *)
-  vstats : Vm.stats;  (** VM counters, accumulated across commands *)
-  mutable vm_plan : (Ir.expr * Bytecode.program) option;
-      (** one-entry compile memo keyed by physical IR identity, so
-          re-driving the same tree (benchmarks, watchpoints) compiles
-          once *)
 }
 
 val create : ?engine:engine -> Duel_dbgi.Dbgi.t -> t
@@ -63,11 +57,11 @@ val exec : t -> string -> string list
     exceptions; the scope stack is restored afterwards, whatever
     happened. *)
 
-val exec_program : t -> Bytecode.program -> string list
-(** [exec] for an already-compiled program (the serve layer's plan
-    cache): runs it on the VM with the same output and error contract as
-    [exec] on the program's source text.  Share programs across sessions
-    only via {!Bytecode.clone}. *)
+val exec_ir : t -> Ir.expr -> string list
+(** [exec] for already-lowered IR (the serve layer's plan cache): runs
+    it on the session's engine with the same output and error contract
+    as [exec] on its source text.  Share a tree across sessions only via
+    {!Ir.clone} — its name slots are per-environment state. *)
 
 val exec_string : t -> string -> string
 (** [exec] joined with newlines. *)
@@ -96,8 +90,3 @@ val lower_stats : t -> string list
 (** Human-readable resolution-cache counters (the [info lower] command):
     whether lowering is on, plus slot hit/miss/stale/dynamic counts from
     {!Env.lstats}. *)
-
-val vm_stats : t -> string list
-(** Human-readable VM counters (the [info vm] command): engine mode,
-    instruction dispatches, superinstruction hits, frame allocations,
-    fallback generators and fused reduce elements. *)

@@ -4,22 +4,21 @@
    Every public operation holds the internal mutex for its whole
    critical section, so concurrent lookups, stores and evictions from
    different domains never tear the table or the LRU bookkeeping.  The
-   stored {!Duel_core.Bytecode.program} values are compile-time
-   constants from the cache's point of view: a user clones them
-   ({!Duel_core.Bytecode.clone}) before execution, and clones only read
-   the master copy, so handing the same program to two domains at once
-   is safe.
+   stored lowered {!Duel_core.Ir.expr} plans are constants from the
+   cache's point of view: a user clones them ({!Duel_core.Ir.clone})
+   before execution, and clones only read the master copy, so handing
+   the same plan to two domains at once is safe.
 
    Compilation deliberately happens {e outside} the lock (it can take
    target round-trips to intern string literals); two shards racing to
    compile the same key both succeed and the second [store] simply
    replaces the first — wasted work, never wrong results. *)
 
-module Bytecode = Duel_core.Bytecode
+module Ir = Duel_core.Ir
 
 type entry = {
-  e_prog : Bytecode.program;
-  e_gen : int;  (* target write-generation the program was compiled under *)
+  e_plan : Ir.expr;
+  e_gen : int;  (* target write-generation the plan was lowered under *)
   mutable e_tick : int;  (* LRU clock stamp *)
 }
 
@@ -30,7 +29,7 @@ type t = {
   mutable tick : int;
 }
 
-type outcome = Hit of Bytecode.program | Stale | Absent
+type outcome = Hit of Ir.expr | Stale | Absent
 
 let create capacity =
   {
@@ -56,7 +55,7 @@ let find t ~key ~gen =
         match Hashtbl.find_opt t.tbl key with
         | Some e when e.e_gen = gen ->
             e.e_tick <- t.tick;
-            Hit e.e_prog
+            Hit e.e_plan
         | Some _ ->
             Hashtbl.remove t.tbl key;
             Stale
@@ -65,12 +64,12 @@ let find t ~key ~gen =
 (* Insert (or replace) under the lock, then evict the least recently
    used entry if the table overflowed.  Returns the number of entries
    evicted (0 or 1). *)
-let store t ~key ~gen prog =
+let store t ~key ~gen plan =
   if not (enabled t) then 0
   else
     Mutex.protect t.lock (fun () ->
         t.tick <- t.tick + 1;
-        Hashtbl.replace t.tbl key { e_prog = prog; e_gen = gen; e_tick = t.tick };
+        Hashtbl.replace t.tbl key { e_plan = plan; e_gen = gen; e_tick = t.tick };
         if Hashtbl.length t.tbl > t.capacity then begin
           let victim =
             Hashtbl.fold

@@ -1,6 +1,6 @@
 (** The shared, domain-safe query-plan cache.
 
-    Compiled {!Duel_core.Bytecode.program}s keyed by the query's
+    Lowered {!Duel_core.Ir.expr} plans keyed by the query's
     normalized token stream, LRU-bounded, invalidated by the target's
     write-generation.  One cache may be shared by every shard of a
     sharded server: all table and LRU bookkeeping happens under an
@@ -8,7 +8,7 @@
     different domains never tear state.
 
     Generation discipline is the caller's: pass the generation the
-    program was compiled under to {!store} and the {e current}
+    plan was lowered under to {!store} and the {e current}
     generation to {!find}; a mismatch retires the entry ({!Stale}).
     Compilation itself should happen outside this module (and therefore
     outside the lock) — two domains racing to compile the same key both
@@ -17,11 +17,11 @@
 type t
 
 type outcome =
-  | Hit of Duel_core.Bytecode.program
-      (** found, compiled under the generation asked about.  The program
-          is the shared master copy: {!Duel_core.Bytecode.clone} it
-          before execution. *)
-  | Stale  (** found but compiled under an older generation; removed *)
+  | Hit of Duel_core.Ir.expr
+      (** found, lowered under the generation asked about.  The plan is
+          the shared master copy: {!Duel_core.Ir.clone} it before
+          execution. *)
+  | Stale  (** found but lowered under an older generation; removed *)
   | Absent
 
 val create : int -> t
@@ -32,7 +32,7 @@ val enabled : t -> bool
 
 val find : t -> key:string -> gen:int -> outcome
 
-val store : t -> key:string -> gen:int -> Duel_core.Bytecode.program -> int
+val store : t -> key:string -> gen:int -> Duel_core.Ir.expr -> int
 (** Insert (replacing any entry under the same key) and evict the LRU
     entry beyond capacity; returns the number of entries evicted. *)
 

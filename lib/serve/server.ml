@@ -24,7 +24,7 @@
 module Packet = Duel_rsp.Packet
 module Rsp_server = Duel_rsp.Server
 module Session = Duel_core.Session
-module Bytecode = Duel_core.Bytecode
+module Ir = Duel_core.Ir
 module Inferior = Duel_target.Inferior
 module Memory = Duel_mem.Memory
 module Fleet = Duel_fleet.Fleet
@@ -159,8 +159,8 @@ type t = {
      qDuelStats answered by any shard reports whole-server numbers and
      a shutdown can wake every sibling's select. *)
   mutable siblings : t list;
-  (* the query-plan cache: token-normalized expression text -> compiled
-     program.  Domain-safe ({!Plan_cache}); shared across shards.  When
+  (* the query-plan cache: token-normalized expression text -> lowered
+     IR.  Domain-safe ({!Plan_cache}); shared across shards.  When
      a fleet is hosted, keys are prefixed with the target id, so twins
      evaluating one expression never share a compiled plan (compiling
      interns literals into *that* target's memory). *)
@@ -458,7 +458,7 @@ let after p s = String.sub s (String.length p) (String.length s - String.length 
 
 (* Plans are keyed by the command's *token stream*, not its text: the
    lexer is the normalizer, so two spellings differing only in
-   whitespace (or trailing comments) share one compiled program.  A
+   whitespace (or trailing comments) share one lowered plan.  A
    string that does not even lex falls through to [Session.exec], which
    owns the error message. *)
 let plan_key dbgi expr =
@@ -469,16 +469,13 @@ let plan_key dbgi expr =
   | toks -> Some (Marshal.to_string toks [])
   | exception _ -> None
 
-(* Parse + lower + compile in the given dedicated plan session.
-   Anything that fails here (parse error, lowering limit) is [None]:
-   the caller falls through to the interpreter path, which reports the
-   failure the same way a planless server would. *)
+(* Parse + lower in the given dedicated plan session.  Anything that
+   fails here (a parse error) is [None]: the caller falls through to the
+   uncached path, which reports the failure the same way a planless
+   server would. *)
 let plan_compile session expr =
-  match
-    Duel_core.Compile.compile
-      (Session.compile session (Session.parse session expr))
-  with
-  | prog -> Some prog
+  match Session.compile session (Session.parse session expr) with
+  | plan -> Some plan
   | exception _ -> None
 
 (* Look up (or build) the plan for [expr] in the (possibly shared,
@@ -499,21 +496,21 @@ let plan_lookup_in t ~prefix ~session ~gen dbgi expr =
     | Some key -> (
         let key = prefix ^ key in
         match Plan_cache.find t.plans ~key ~gen:(gen ()) with
-        | Plan_cache.Hit prog ->
+        | Plan_cache.Hit plan ->
             t.st.plan_hits <- t.st.plan_hits + 1;
-            Some prog
+            Some plan
         | (Plan_cache.Stale | Plan_cache.Absent) as missed -> (
             if missed = Plan_cache.Stale then
               t.st.plan_inval <- t.st.plan_inval + 1;
             t.st.plan_misses <- t.st.plan_misses + 1;
             match plan_compile session expr with
             | None -> None
-            | Some prog ->
+            | Some plan ->
                 t.st.plan_compiles <- t.st.plan_compiles + 1;
                 t.st.plan_evict <-
                   t.st.plan_evict
-                  + Plan_cache.store t.plans ~key ~gen:(gen ()) prog;
-                Some prog))
+                  + Plan_cache.store t.plans ~key ~gen:(gen ()) plan;
+                Some plan))
 
 (* Target-printed output (printf goes to the server process; the client
    deserves to see it), as trailing lines. *)
@@ -531,16 +528,16 @@ let line_is_error l =
   || pre "evaluation too deep"
 
 (* Lines a qDuelEval sends back: the session's formatted output plus
-   anything the target printed.  A cached plan runs on the VM in the
-   connection's own session (cloned first, so slot state stays
-   per-client); everything else takes the ordinary interpreter path.
+   anything the target printed.  A cached plan runs on the engine of
+   the connection's own session (cloned first, so slot state stays
+   per-client); everything else takes the ordinary parse-and-lower path.
    All coordinates — plan key prefix, compile context, generation,
    output capture — come from the connection's bound target. *)
 let eval_lines t c expr =
   let dbgi, session, prefix, gen = conn_plan t c in
   let lines =
     match plan_lookup_in t ~prefix ~session ~gen dbgi expr with
-    | Some prog -> Session.exec_program c.session (Bytecode.clone prog)
+    | Some plan -> Session.exec_ir c.session (Ir.clone plan)
     | None -> Session.exec c.session expr
   in
   let lines =
@@ -806,7 +803,7 @@ let eval_slot t sl expr =
           ~gen:(fun () -> Fleet.generation sl.sl_target)
           sl.sl_dbgi expr
       with
-      | Some prog -> Session.exec_program session (Bytecode.clone prog)
+      | Some plan -> Session.exec_ir session (Ir.clone plan)
       | None -> Session.exec session expr
     in
     match

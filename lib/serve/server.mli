@@ -105,15 +105,15 @@ type config = {
       (** cap on values a [qDuelEval] streams back (then ["..."]) *)
   eval_chunk : int;  (** result lines per [D] frame *)
   plan_cache : int;
-      (** capacity of the shared query-plan cache: compiled
-          {!Duel_core.Bytecode} programs keyed by the command's token
-          stream (so spellings differing only in whitespace share a
-          plan), shared across every connection and run on the VM via
-          {!Duel_core.Session.exec_program} on a per-use
-          {!Duel_core.Bytecode.clone}.  Entries are invalidated when the
+      (** capacity of the shared query-plan cache: lowered
+          {!Duel_core.Ir} plans keyed by the command's token stream (so
+          spellings differing only in whitespace share a plan), shared
+          across every connection and run on the connection session's
+          engine via {!Duel_core.Session.exec_ir} on a per-use
+          {!Duel_core.Ir.clone}.  Entries are invalidated when the
           target's write-generation moves (stores, RSP writes, called
           functions) and evicted LRU beyond this capacity; [0] disables
-          the cache entirely (every eval takes the interpreter path). *)
+          the cache entirely (every eval parses and lowers afresh). *)
   limits : Duel_rsp.Server.limits;  (** target resource limits *)
   fault_hook : (fault_point -> bool) option;
       (** chaos injection: consulted at each fault point, answers

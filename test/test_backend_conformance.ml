@@ -12,6 +12,7 @@ module Dbgi = Duel_dbgi.Dbgi
 module Inferior = Duel_target.Inferior
 module Build = Duel_target.Build
 module Backend = Duel_backend.Backend
+module Session = Duel_core.Session
 
 let case = Support.case
 
@@ -193,35 +194,6 @@ let zero_length =
         true
         (Dbgi.readable dbg ~addr:wild ~len:0))
 
-(* The VM arm: the bytecode engine must emit lines bit-identical to the
-   reference walker through every backend in the matrix — superinstruction
-   fusion and fallback spawning may never observe the transport. *)
-module Session = Duel_core.Session
-
-let vm_queries =
-  [
-    "x[0..3]";
-    "#/(1..100)";
-    "hash[0]-->next->scope";
-    "x[0] = 7; x[0]";
-    "(1..5) + x[1]";
-    "frames.n";
-  ]
-
-let vm_agreement =
-  conform (fun l inf dbg ->
-      let seq = Session.create ~engine:Session.Seq_engine dbg in
-      let vm = Session.create ~engine:Session.Vm_engine dbg in
-      List.iter
-        (fun q ->
-          let a = Session.exec seq q in
-          let oa = Inferior.take_output inf in
-          let b = Session.exec vm q in
-          let ob = Inferior.take_output inf in
-          Alcotest.(check (list string)) (l ("vm parity: " ^ q)) a b;
-          Alcotest.(check string) (l ("vm stdout parity: " ^ q)) oa ob)
-        vm_queries)
-
 (* Every prefetching spec in the matrix must keep its speculation
    ledger balanced after the cache quiesces — including under chaos,
    where retried demand reads must not double-count useful lines (a
@@ -250,7 +222,6 @@ let suite =
     case "frame queries" frames;
     case "faults carry address and length" faults;
     case "zero-length accesses never fault" zero_length;
-    case "vm engine agrees with the walker on every backend" vm_agreement;
     case "speculation ledger balances on every prefetching backend"
       prefetch_accounting;
   ]

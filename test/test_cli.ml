@@ -4,7 +4,7 @@
 let case = Support.case
 let oduel = "../bin/oduel.exe"
 
-let run_cli ?stdin args =
+let run_cli ?stdin ?(stderr = false) args =
   let out_file = Filename.temp_file "oduel_out" ".txt" in
   let stdin_redir =
     match stdin with
@@ -17,8 +17,9 @@ let run_cli ?stdin args =
         "< " ^ Filename.quote f
   in
   let cmd =
-    Printf.sprintf "%s %s %s > %s 2>/dev/null" (Filename.quote oduel) args
+    Printf.sprintf "%s %s %s > %s %s" (Filename.quote oduel) args
       stdin_redir (Filename.quote out_file)
+      (if stderr then "2>&1" else "2>/dev/null")
   in
   let status = Sys.command cmd in
   let ic = open_in out_file in
@@ -64,8 +65,35 @@ let repl_session () =
   Alcotest.(check int) "exit 0" 0 status;
   check_contains "arithmetic" out "1+2 = 3";
   check_contains "sweep under sm engine" out "v[1] = 1";
-  check_contains "help text" out "set engine vm|ir|ast";
-  check_contains "help text mentions vm counters" out "info vm"
+  check_contains "help text" out "set engine ir|sm|ast";
+  Alcotest.(check bool) "help text has no vm counters" false
+    (contains out "info vm")
+
+(* Engine names are checked, not defaulted: an unknown --engine exits 2
+   naming the valid values, and [set engine] in the REPL answers the same
+   way instead of falling through to DUEL evaluation. *)
+let unknown_engine () =
+  List.iter
+    (fun name ->
+      let status, out =
+        run_cli ~stderr:true (Printf.sprintf "--engine %s -e 1" name)
+      in
+      Alcotest.(check int) ("--engine " ^ name ^ " exits 2") 2 status;
+      check_contains "flag error names the engines" out "ir, seq, sm or ast";
+      Alcotest.(check bool) "nothing evaluated" false (contains out "1 = 1"))
+    [ "vm"; "sq" ];
+  let script = "set engine vm
+set engine sm
+v[..3]
+quit
+" in
+  let status, out = run_cli ~stdin:script "" in
+  Alcotest.(check int) "repl exit 0" 0 status;
+  check_contains "set engine names the engines" out
+    "unknown engine vm; expected ir, seq, sm or ast";
+  Alcotest.(check bool) "not parsed as an expression" false
+    (contains out "undefined name");
+  check_contains "a valid name still switches" out "v[1] = 1"
 
 let program_mode_debugging () =
   let script =
@@ -206,6 +234,7 @@ let suite =
     case "state-machine engine flag" sm_engine_flag;
     case "bad scenario rejected" bad_scenario;
     case "interactive REPL session" repl_session;
+    case "unknown engine names rejected" unknown_engine;
     case "program-mode conditional breakpoint session" program_mode_debugging;
     case "program-mode watch and assert" program_watch_assert;
     case "serve and connect across processes" serve_connect_end_to_end;

@@ -104,7 +104,7 @@ let open_range_bounded () =
                (fun l -> Support.contains_sub l "open range exceeded")
                lines))
         [ "1.."; "0x10.."; "(1..) + 1" ])
-    [ Session.Seq_engine; Session.Sm_engine; Session.Vm_engine ]
+    [ Session.Seq_engine; Session.Sm_engine ]
 
 let suite =
   [

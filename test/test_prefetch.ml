@@ -18,14 +18,14 @@ module Memory = Duel_mem.Memory
 
 let case = Support.case
 
-(* ast = the unlowered walker, ir = the lowered walker, vm = the
-   bytecode engine: the three engines whose [-->] paths feed the
-   predictor chase hints. *)
+(* ast = the unlowered walker, ir = the lowered walker, sm = the state
+   machine: the engine paths whose [-->] traversals feed the predictor
+   chase hints. *)
 let engines =
   [
     ("ast", Session.Seq_engine, false);
     ("ir", Session.Seq_engine, true);
-    ("vm", Session.Vm_engine, true);
+    ("sm", Session.Sm_engine, true);
   ]
 
 (* One run over a spec-built backend: output lines, target stdout,

@@ -652,6 +652,11 @@ let plan_alias_isolation () =
     (Client.eval c1 "pv+1");
   Alcotest.(check (list string)) "c2's alias" [ "pv+1 = 1001" ]
     (Client.eval c2 "pv+1");
+  (* the same through a fused reduce's bound: Ir.clone must copy it *)
+  Alcotest.(check (list string)) "c1's fused bound" [ "#/(..pv) = 41" ]
+    (Client.eval c1 "#/(..pv)");
+  Alcotest.(check (list string)) "c2's fused bound" [ "#/(..pv) = 1000" ]
+    (Client.eval c2 "#/(..pv)");
   List.iter Client.close clients
 
 (* --- histogram and stats merging (the sharded stats substrate) ----------- *)
@@ -712,9 +717,7 @@ let plan_cache_hammer () =
   let s =
     Session.create (Duel_target.Backend.direct (Scenarios.all ()))
   in
-  let prog =
-    Duel_core.Compile.compile (Session.compile s (Session.parse s "1"))
-  in
+  let plan = Session.compile s (Session.parse s "1") in
   let cache = PC.create 8 in
   let errors = Atomic.make 0 in
   let worker () =
@@ -724,7 +727,7 @@ let plan_cache_hammer () =
         let gen = i mod 3 in
         (match PC.find cache ~key ~gen with
         | PC.Hit _ -> ()
-        | PC.Stale | PC.Absent -> ignore (PC.store cache ~key ~gen prog));
+        | PC.Stale | PC.Absent -> ignore (PC.store cache ~key ~gen plan));
         if PC.resident cache > 8 then Atomic.incr errors
       done
     with _ -> Atomic.incr errors
@@ -735,7 +738,7 @@ let plan_cache_hammer () =
   Alcotest.(check int) "no invariant violations" 0 (Atomic.get errors);
   Alcotest.(check bool) "capacity holds after the storm" true
     (PC.resident cache <= 8);
-  ignore (PC.store cache ~key:"final" ~gen:7 prog);
+  ignore (PC.store cache ~key:"final" ~gen:7 plan);
   Alcotest.(check bool) "hit at the stored generation" true
     (match PC.find cache ~key:"final" ~gen:7 with
     | PC.Hit _ -> true
